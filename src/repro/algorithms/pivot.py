@@ -44,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.agreement import EncodedLabels
 from ..core.backend import label_pair_block
 from ..core.distance import weighted_total_disagreement
 from ..core.instance import CorrelationInstance
@@ -110,10 +111,11 @@ def _prepare(
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive multiplicities")
     dtype = np.float64 if n <= 4096 else np.float32
+    labels = EncodedLabels(matrix)
 
     def matrix_row(u: int, remaining: np.ndarray) -> np.ndarray:
         return label_pair_block(
-            matrix, np.array([u], dtype=np.intp), remaining, p=p, dtype=dtype, missing=missing
+            labels, np.array([u], dtype=np.intp), remaining, p=p, dtype=dtype, missing=missing
         )[0]
 
     return matrix_row, n, weights

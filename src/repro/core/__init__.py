@@ -3,6 +3,7 @@
 from typing import Any
 
 from .aggregate import AggregationResult, aggregate, available_methods
+from .agreement import EncodedLabels, agreement_counts, separation_fractions
 from .atoms import AtomCollapse, collapse_duplicates
 from .backend import (
     DenseBackend,
@@ -12,7 +13,7 @@ from .backend import (
     resolve_backend,
 )
 from .distance import clustering_distance, normalized_distance, total_disagreement
-from .instance import CorrelationInstance, disagreement_fractions, pair_separation_block
+from .instance import CorrelationInstance, disagreement_fractions
 from .labels import MISSING, as_label_matrix, columns_as_clusterings, contingency_table
 from .objective import ClusterCountTables, MoveEvaluator
 from .partition import Clustering
@@ -22,6 +23,9 @@ __all__ = [
     "aggregate",
     "available_methods",
     "STOCHASTIC_METHODS",
+    "EncodedLabels",
+    "agreement_counts",
+    "separation_fractions",
     "AtomCollapse",
     "collapse_duplicates",
     "clustering_distance",
@@ -34,7 +38,6 @@ __all__ = [
     "lazy_threshold",
     "resolve_backend",
     "disagreement_fractions",
-    "pair_separation_block",
     "MISSING",
     "as_label_matrix",
     "columns_as_clusterings",

@@ -274,21 +274,24 @@ def aggregate(
 
     disagreements: float | None = None
     cost: float | None = None
-    if matrix is not None:
-        disagreements = total_disagreement(matrix, clustering, p=p)
-        cost = disagreements / matrix.shape[1]
-    elif instance is not None:
-        cost = instance.cost(clustering)
-        if instance.m is not None:
-            disagreements = instance.m * cost
-
     lower_bound: float | None = None
     disagreement_lb: float | None = None
-    if compute_lower_bound and instance is not None:
-        lower_bound = instance.lower_bound()
-        m = instance.m if instance.m is not None else (matrix.shape[1] if matrix is not None else None)
-        if m is not None:
-            disagreement_lb = m * lower_bound
+    with span("aggregate.price", method=method):
+        if matrix is not None:
+            disagreements = total_disagreement(matrix, clustering, p=p)
+            cost = disagreements / matrix.shape[1]
+        elif instance is not None:
+            cost = instance.cost(clustering)
+            if instance.m is not None:
+                disagreements = instance.m * cost
+
+        if compute_lower_bound and instance is not None:
+            lower_bound = instance.lower_bound()
+            m = instance.m
+            if m is None and matrix is not None:
+                m = matrix.shape[1]
+            if m is not None:
+                disagreement_lb = m * lower_bound
 
     return AggregationResult(
         clustering=clustering,

@@ -14,17 +14,18 @@ demand.  This module provides that seam:
   allocate a full-matrix temporary.
 * :class:`DenseBackend` — wraps a materialized ``X`` (today's behaviour).
 * :class:`LazyLabelBackend` — computes row blocks on demand from the
-  stored label matrix via the same :func:`repro.core.instance.disagreement_block`
-  kernel used by the batch build (same missing-value model, same dtype
-  rules), with a small LRU cache of grid-aligned blocks.
+  stored label matrix through :func:`repro.core.agreement.pair_fractions`,
+  the same exact agreement-count kernel the batch build uses (same
+  missing-value model, same dtype rules), with a small LRU cache of
+  grid-aligned blocks.
 
-Bit-identity guarantee: the kernel accumulates every element over the
-``m`` label columns in the same order regardless of row tiling, so lazy
-blocks are bitwise equal to the corresponding rows of the batch-built
-``X``.  All blocked reductions live on the base class and iterate one
-deterministic block grid (:func:`reduction_block_rows`, a function of
-``n`` only), so their floating-point accumulation order — and therefore
-their results — are bitwise identical between the two backends.
+Bit-identity guarantee: every entry is a normalized pair of exact integer
+counts, so lazy blocks are bitwise equal to the corresponding rows of the
+batch-built ``X`` whatever the row tiling.  All blocked reductions live on
+the base class and iterate one deterministic block grid
+(:func:`reduction_block_rows`, a function of ``n`` only), so their
+floating-point accumulation order — and therefore their results — are
+bitwise identical between the two backends.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from ..obs.profile import phase
-from .labels import MISSING, validate_label_matrix
+from .agreement import BLOCK_ENTRIES, EncodedLabels, pair_fractions
+from .labels import validate_label_matrix
 
 __all__ = [
     "DEFAULT_LAZY_THRESHOLD",
@@ -55,9 +57,6 @@ DEFAULT_LAZY_THRESHOLD = 10_000
 #: Environment variable overriding :data:`DEFAULT_LAZY_THRESHOLD`.
 LAZY_THRESHOLD_ENV_VAR = "REPRO_LAZY_THRESHOLD"
 
-#: Cap on the per-block temporary: blocks hold about this many entries.
-_BLOCK_ENTRIES = 1 << 22
-
 
 def reduction_block_rows(n: int) -> int:
     """The deterministic row-block height used by every blocked reduction.
@@ -68,7 +67,7 @@ def reduction_block_rows(n: int) -> int:
     reductions.  Sized to keep an ``O(block * n)`` float64 temporary at
     roughly 32 MB.
     """
-    return max(64, min(2048, _BLOCK_ENTRIES // max(1, n)))
+    return max(64, min(2048, BLOCK_ENTRIES // max(1, n)))
 
 
 def lazy_threshold() -> int:
@@ -101,7 +100,7 @@ def resolve_backend(backend: str, n: int) -> str:
 
 
 def label_pair_block(
-    matrix: np.ndarray,
+    matrix: np.ndarray | EncodedLabels,
     rows: np.ndarray,
     cols: np.ndarray,
     p: float = 0.5,
@@ -110,42 +109,18 @@ def label_pair_block(
 ) -> np.ndarray:
     """``X[np.ix_(rows, cols)]`` computed from the label matrix.
 
-    The generalized (arbitrary row/column subset) form of
-    :func:`repro.core.instance.disagreement_block`: every element is
-    accumulated over the ``m`` label columns in the same order and dtype
-    as the batch build, so the result is bitwise equal to gathering the
-    same entries from a materialized ``X``.  Entries where the row and
-    column index the same object are zeroed (the diagonal rule).
+    The arbitrary row/column subset form of the batch build, through the
+    same :func:`repro.core.agreement.pair_fractions` kernel, so the result
+    is bitwise equal to gathering the same entries from a materialized
+    ``X``.  Entries where the row and column index the same object are
+    zeroed (the diagonal rule).  Pass an
+    :class:`~repro.core.agreement.EncodedLabels` when calling repeatedly
+    on one matrix.
     """
-    np_dtype = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
-    m = matrix.shape[1]
-    one_minus_p = np_dtype.type(1.0 - p)
-    block = np.zeros((rows.size, cols.size), dtype=np_dtype)
-    comparable = (
-        np.zeros((rows.size, cols.size), dtype=np_dtype) if missing == "average" else None
+    labels = matrix if isinstance(matrix, EncodedLabels) else EncodedLabels(matrix)
+    return pair_fractions(
+        labels, np.asarray(rows), np.asarray(cols), p=p, missing=missing, dtype=dtype
     )
-    row_labels = matrix[rows]
-    col_labels = matrix[cols]
-    for j in range(m):
-        row_part = row_labels[:, j]
-        col_part = col_labels[:, j]
-        different = row_part[:, None] != col_part[None, :]
-        missing_pair = (row_part == MISSING)[:, None] | (col_part == MISSING)[None, :]
-        if missing == "coin-flip":
-            block += np.where(missing_pair, one_minus_p, different.astype(np_dtype))
-        else:
-            both_present = ~missing_pair
-            block += (different & both_present).astype(np_dtype)
-            if comparable is not None:
-                comparable += both_present.astype(np_dtype)
-    if comparable is None:
-        block /= m
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            block /= comparable
-        block[comparable == 0] = np_dtype.type(0.5)
-    block[rows[:, None] == cols[None, :]] = np_dtype.type(0.0)
-    return block
 
 
 class PairDistanceBackend:
@@ -387,16 +362,16 @@ class LazyLabelBackend(PairDistanceBackend):
 
     Stores only the ``(n, m)`` label matrix — O(n * m) memory — and
     computes any requested rows with the same
-    :func:`repro.core.instance.disagreement_block` kernel (same
-    missing-value model, same dtype rules) the batch build uses, so every
-    block is bitwise equal to the corresponding rows of the materialized
-    matrix.  Grid-aligned blocks (the :func:`reduction_block_rows` grid by
-    default) are held in a small LRU cache so repeated scans and nearby
-    row fetches amortize the kernel cost.
+    :func:`repro.core.agreement.pair_fractions` kernel (same missing-value
+    model, same dtype rules) the batch build uses, so every block is
+    bitwise equal to the corresponding rows of the materialized matrix.
+    Grid-aligned blocks (the :func:`reduction_block_rows` grid by default)
+    are held in a small LRU cache so repeated scans and nearby row fetches
+    amortize the kernel cost.
     """
 
     __slots__ = (
-        "_matrix",
+        "_labels",
         "_n",
         "_m",
         "_p",
@@ -424,7 +399,7 @@ class LazyLabelBackend(PairDistanceBackend):
             raise ValueError(f"missing must be 'coin-flip' or 'average', got {missing!r}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be a probability, got {p}")
-        self._matrix = matrix
+        self._labels = EncodedLabels(matrix)
         self._n = int(matrix.shape[0])
         self._m = int(matrix.shape[1])
         if dtype is None:
@@ -464,7 +439,7 @@ class LazyLabelBackend(PairDistanceBackend):
     @property
     def label_matrix(self) -> np.ndarray:
         """The backing ``(n, m)`` label matrix (do not mutate)."""
-        return self._matrix
+        return self._labels.labels
 
     @property
     def p(self) -> float:
@@ -495,17 +470,15 @@ class LazyLabelBackend(PairDistanceBackend):
     # ------------------------------------------------------------------
 
     def _compute(self, start: int, stop: int) -> np.ndarray:
-        # Function-level import: repro.core.instance imports this module
-        # for the backend classes, so the kernel import cannot be at the top.
-        from .instance import disagreement_block
-
         with phase("instance.block", start=int(start), rows=int(stop - start)):
-            block = disagreement_block(
-                self._matrix, start, stop, p=self._p, dtype=self._dtype, missing=self._missing
+            return pair_fractions(
+                self._labels,
+                slice(start, stop),
+                slice(None),
+                p=self._p,
+                missing=self._missing,
+                dtype=self._dtype,
             )
-        diagonal = np.arange(start, stop)
-        block[diagonal - start, diagonal] = self._dtype.type(0.0)
-        return block
 
     def _grid_block(self, index: int) -> np.ndarray:
         cached = self._cache.get(index)
@@ -537,7 +510,7 @@ class LazyLabelBackend(PairDistanceBackend):
         self, rows: np.ndarray | Sequence[int], cols: np.ndarray | Sequence[int]
     ) -> np.ndarray:
         return label_pair_block(
-            self._matrix,
+            self._labels,
             np.asarray(rows),
             np.asarray(cols),
             p=self._p,
@@ -546,17 +519,23 @@ class LazyLabelBackend(PairDistanceBackend):
         )
 
     def columns(self, idx: np.ndarray | Sequence[int]) -> np.ndarray:
-        # X is bitwise symmetric (every kernel term is), so columns are
+        # X is bitwise symmetric (both counts are), so columns are
         # transposed row gathers.
-        index = np.asarray(idx)
-        return self.gather_block(index, np.arange(self._n, dtype=np.intp)).T
+        return pair_fractions(
+            self._labels,
+            np.asarray(idx),
+            slice(None),
+            p=self._p,
+            missing=self._missing,
+            dtype=self._dtype,
+        ).T
 
     def take(self, idx: np.ndarray | Sequence[int]) -> "LazyLabelBackend":
         index = np.asarray(idx)
         # Keep the parent's dtype: a sub-instance of a float32 instance
         # stays float32 even when the subset drops below the size rule.
         return LazyLabelBackend(
-            self._matrix[index],
+            self._labels.labels[index],
             p=self._p,
             dtype=self._dtype,
             missing=self._missing,

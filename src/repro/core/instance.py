@@ -28,98 +28,21 @@ import numpy as np
 from ..analysis.contracts import check_distance_matrix, contracts_enabled
 from ..obs.metrics import inc
 from ..obs.profile import phase
-from .backend import DenseBackend, LazyLabelBackend, PairDistanceBackend, resolve_backend
+from .agreement import EncodedLabels, pair_fractions
+from .backend import (
+    DenseBackend,
+    LazyLabelBackend,
+    PairDistanceBackend,
+    reduction_block_rows,
+    resolve_backend,
+)
 from .labels import MISSING, as_label_matrix, validate_label_matrix
 from .partition import Clustering
 
 __all__ = [
     "CorrelationInstance",
-    "disagreement_block",
     "disagreement_fractions",
-    "pair_separation_block",
 ]
-
-#: Row-block size for the blocked construction of the X matrix.
-_BLOCK_ROWS = 2048
-
-
-def pair_separation_block(
-    column: np.ndarray,
-    start: int,
-    stop: int,
-    p: float = 0.5,
-    dtype: np.dtype | type = np.float64,
-    missing: str = "coin-flip",
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One clustering's separation contribution for a block of rows.
-
-    For the label ``column`` of a single input clustering, computes the
-    ``(stop - start, n)`` block of per-pair separation terms that the
-    clustering contributes to the ``X`` matrix:
-
-    * ``missing="coin-flip"``: ``1`` where the labels differ, ``0`` where
-      they agree, ``1 - p`` where either label is missing; returns
-      ``(separation, None)``.
-    * ``missing="average"``: ``1`` only where both labels are concrete and
-      differ; returns ``(separation, comparable)`` with ``comparable`` a
-      0/1 mask of the pairs concrete on both sides.
-
-    This is the shared kernel of the batch :func:`disagreement_fractions`
-    build and the incremental accumulation in
-    :class:`repro.stream.IncrementalCorrelationInstance`: both sum these
-    blocks over the input clusterings and normalize.  The diagonal is NOT
-    zeroed here — callers zero it once on the finished ``X``.
-    """
-    np_dtype = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
-    one_minus_p = np_dtype.type(1.0 - p)
-    row_part = column[start:stop]
-    missing_rows = row_part == MISSING
-    missing_cols = column == MISSING
-    different = row_part[:, None] != column[None, :]
-    missing_pair = missing_rows[:, None] | missing_cols[None, :]
-    if missing == "coin-flip":
-        return np.where(missing_pair, one_minus_p, different.astype(dtype)), None
-    both_present = ~missing_pair
-    return (different & both_present).astype(dtype), both_present.astype(dtype)
-
-
-def disagreement_block(
-    matrix: np.ndarray,
-    start: int,
-    stop: int,
-    p: float = 0.5,
-    dtype: np.dtype | type = np.float64,
-    missing: str = "coin-flip",
-) -> np.ndarray:
-    """The normalized rows ``[start, stop)`` of the ``X`` matrix.
-
-    Sums :func:`pair_separation_block` over the ``m`` label columns and
-    applies the per-pair normalization of the selected missing-value
-    strategy.  Row blocks are independent and every element is accumulated
-    in the same column order regardless of how the rows are partitioned,
-    so any tiling of ``[0, n)`` into blocks — including the process-parallel
-    fan-out in :mod:`repro.parallel.build` — reassembles bit-identically to
-    the serial :func:`disagreement_fractions` build.  The diagonal is NOT
-    zeroed here; callers zero it once on the finished ``X``.
-    """
-    n, m = matrix.shape
-    np_dtype = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
-    block = np.zeros((stop - start, n), dtype=np_dtype)
-    comparable = np.zeros((stop - start, n), dtype=np_dtype) if missing == "average" else None
-    for j in range(m):
-        separation, both_present = pair_separation_block(
-            matrix[:, j], start, stop, p=p, dtype=np_dtype, missing=missing
-        )
-        block += separation
-        if both_present is not None and comparable is not None:
-            comparable += both_present
-    if comparable is None:
-        block /= m
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            block /= comparable
-        block[comparable == 0] = np_dtype.type(0.5)
-    return block
 
 
 def disagreement_fractions(
@@ -157,7 +80,7 @@ def disagreement_fractions(
         raise ValueError(f"missing must be 'coin-flip' or 'average', got {missing!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
-    n, m = matrix.shape
+    n = matrix.shape[0]
     if dtype is None:
         dtype = np.float64 if n <= 4096 else np.float32
     if n_jobs is None or n_jobs != 1:
@@ -168,11 +91,12 @@ def disagreement_fractions(
             return parallel_disagreement_fractions(
                 matrix, p=p, dtype=dtype, missing=missing, n_jobs=n_jobs
             )
-    X = np.zeros((n, n), dtype=dtype)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        X[start:stop] = disagreement_block(matrix, start, stop, p=p, dtype=dtype, missing=missing)
-    np.fill_diagonal(X, 0.0)
+    labels = EncodedLabels(matrix)
+    X = np.empty((n, n), dtype=dtype)
+    step = reduction_block_rows(n)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        pair_fractions(labels, rows, slice(None), p=p, missing=missing, dtype=dtype, out=X[rows])
     return X
 
 

@@ -13,16 +13,17 @@ Two pieces of machinery live here:
   each candidate move is evaluated in O(1) after O(n) maintenance per move.
 
 * :class:`ClusterCountTables` — the same quantities computed from a raw
-  label matrix through per-cluster attribute-value counts, *without ever
-  materializing X*.  This powers the linear-time assignment phase of the
-  SAMPLING algorithm on datasets far too large for an explicit distance
-  matrix.
+  label matrix through agreement counts against each cluster's members
+  (:mod:`repro.core.agreement`), *without ever materializing X*.  This
+  powers the linear-time assignment phase of the SAMPLING algorithm on
+  datasets far too large for an explicit distance matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .agreement import EncodedLabels, agreement_counts, separation_fractions
 from .instance import CorrelationInstance
 from .labels import MISSING, validate_label_matrix
 from .partition import Clustering
@@ -376,9 +377,10 @@ class MoveEvaluator:
         ``X ← scale·X + factor·sep(column)`` with ``sep`` the §2 coin-flip
         separation terms of one arriving clustering.  Masses are linear in
         ``X``, so they follow as ``M ← scale·M + factor·contrib`` where
-        ``contrib[v, c] = Σ_{u∈c} sep(column; v, u)`` comes from per-cluster
-        label counts in O(n·k) — no O(n²·k) mass rebuild.  The caller must
-        have refreshed the evaluator's (aliased) ``X`` buffer already.
+        ``contrib[v, c] = Σ_{u∈c} sep(column; v, u)`` comes from the
+        column's agreement counts against each cluster in O(n·k) — no
+        O(n²·k) mass rebuild.  The caller must have refreshed the
+        evaluator's (aliased) ``X`` buffer already.
         Requires unit node weights, every object attached, and the
         coin-flip missing model (the "average" model's per-pair
         denominators make the X update non-affine).
@@ -389,27 +391,20 @@ class MoveEvaluator:
             raise RuntimeError("streaming mass updates require every object attached")
         labels = self._labels
         k = self._sizes.size
-        present = column != MISSING
-        one_minus_p = 1.0 - p
         sizes = np.bincount(labels, minlength=k).astype(np.float64)
-        contrib = np.empty((self.n, k), dtype=np.float64)
-        if present.any():
-            values = column[present]
-            arity = int(values.max()) + 1
-            counts = np.zeros((k, arity), dtype=np.float64)
-            np.add.at(counts, (labels[present], values), 1.0)
-            concrete = counts.sum(axis=1)
-            # Concrete v vs cluster c: one per concretely-differing member,
-            # a coin flip per member missing at this clustering.
-            contrib[present] = (concrete[None, :] - counts[:, values].T) + one_minus_p * (
-                sizes - concrete
-            )[None, :]
-        contrib[~present] = one_minus_p * sizes
+        # contrib[v, c] is the mass of one label column: the agreement
+        # counts of every object against the clusters' members.
+        agree, both = agreement_counts(column[:, None], col_groups=labels, dtype=np.float64)
+        used = agree.shape[1]
+        contrib = np.zeros((self.n, k), dtype=np.float64)
+        contrib[:, :used] = separation_fractions(
+            np.subtract(both, agree, out=agree), both, sizes[:used], p=p, divisor=1.0
+        )
         # X's diagonal is pinned to 0, so v contributes nothing to its own
         # cluster's mass; the concrete case already counts sep(v, v) = 0,
         # but a missing v must not pay the coin flip against itself.
-        missing_rows = np.flatnonzero(~present)
-        contrib[missing_rows, labels[missing_rows]] -= one_minus_p
+        missing_rows = np.flatnonzero(column == MISSING)
+        contrib[missing_rows, labels[missing_rows]] -= 1.0 - p
         self._mass *= scale
         self._mass += factor * contrib
 
@@ -420,8 +415,9 @@ class ClusterCountTables:
     Given a label matrix (columns = input clusterings, ``-1`` = missing) and
     a partition of a *subset* of the rows into ``k`` clusters, the tables
     answer, for any other row ``v``, the masses ``M(v, C_l)`` needed for the
-    SAMPLING assignment phase — in ``O(m * k)`` per row and without an
-    explicit distance matrix.
+    SAMPLING assignment phase — one agreement-count product of the rows
+    against the members grouped by cluster, without an explicit distance
+    matrix.
 
     Parameters
     ----------
@@ -460,7 +456,7 @@ class ClusterCountTables:
                 raise ValueError("member_weights must align with member_rows")
             if np.any(weights < 1):
                 raise ValueError("member_weights must be >= 1")
-        self._matrix = matrix
+        self._labels = EncodedLabels(matrix)
         self._m = matrix.shape[1]
         self._p = p
         self._k = int(member_labels.max()) + 1
@@ -468,22 +464,9 @@ class ClusterCountTables:
         np.add.at(self._sizes, member_labels, weights)
         if np.any(self._sizes == 0):
             raise ValueError("member_labels must use every label in 0..k-1")
-        # counts[j][l, val] = total multiplicity of cluster l's members with
-        # concrete value `val` in column j; concrete[j][l] = multiplicity of
-        # cluster l's members concrete at j.
-        self._counts: list[np.ndarray] = []
-        self._concrete = np.zeros((self._m, self._k), dtype=np.float64)
-        sub = matrix[member_rows]
-        for j in range(self._m):
-            column = sub[:, j]
-            present = column != MISSING
-            arity = int(matrix[:, j].max()) + 1 if matrix[:, j].max() >= 0 else 1
-            table = np.zeros((self._k, arity), dtype=np.float64)
-            if present.any():
-                flat = member_labels[present] * arity + column[present]
-                np.add.at(table.ravel(), flat, weights[present])
-            self._counts.append(table)
-            self._concrete[j] = table.sum(axis=1)
+        self._member_rows = member_rows
+        self._member_labels = member_labels
+        self._member_weights = weights
 
     @property
     def k(self) -> int:
@@ -494,30 +477,23 @@ class ClusterCountTables:
         return self._sizes
 
     def masses(self, rows: np.ndarray) -> np.ndarray:
-        """``M(v, C_l)`` for each row ``v`` in ``rows``: an ``(len(rows), k)`` array."""
-        rows = np.asarray(rows, dtype=np.int64)
-        block = self._matrix[rows]  # (b, m)
-        b = rows.size
-        one_minus_p = 1.0 - self._p
-        total = np.zeros((b, self._k), dtype=np.float64)
-        for j in range(self._m):
-            values = block[:, j]
-            present = values != MISSING
-            table = self._counts[j]
-            concrete = self._concrete[j]  # (k,)
-            # Missing-involved contribution: every member pair is a coin flip
-            # when v is missing; otherwise only the members missing at j are.
-            contribution = np.empty((b, self._k), dtype=np.float64)
-            contribution[~present] = one_minus_p * self._sizes
-            if present.any():
-                vals = values[present]
-                matches = table[:, vals].T  # (b_present, k)
-                contribution[present] = (concrete - matches) + one_minus_p * (
-                    self._sizes - concrete
-                )
-            total += contribution
-        total /= self._m
-        return total
+        """``M(v, C_l)`` for each row ``v`` in ``rows``: an ``(len(rows), k)`` array.
+
+        The agreement counts of ``rows`` against the members grouped by
+        cluster give ``M = ((both - agree) + (1 - p)(m |C_l| - both)) / m``.
+        """
+        agree, both = agreement_counts(
+            self._labels,
+            np.asarray(rows, dtype=np.int64),
+            self._member_rows,
+            col_groups=self._member_labels,
+            col_weights=self._member_weights,
+            dtype=np.float64,
+        )
+        separated = np.subtract(both, agree, out=agree)
+        return separation_fractions(
+            separated, both, self._m * self._sizes, p=self._p, divisor=self._m
+        )
 
     def placement_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Relative placement costs for each row, as in :class:`MoveEvaluator`.

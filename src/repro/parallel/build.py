@@ -2,15 +2,16 @@
 
 The ``O(m n²)`` build of the pairwise separation fractions (§3 of the
 paper) is embarrassingly parallel across row blocks: every block of
-:func:`~repro.core.instance.disagreement_block` depends only on the label
-matrix, and every matrix element is accumulated in the same column order
-regardless of how the rows are tiled.  :func:`parallel_disagreement_fractions`
+:func:`~repro.core.agreement.pair_fractions` depends only on the label
+matrix, and every entry is a normalized pair of exact integer agreement
+counts, whatever the tiling.  :func:`parallel_disagreement_fractions`
 exploits exactly that — the label matrix and the output ``X`` live in
 shared memory (:class:`~repro.parallel.shm.SharedNDArray`; nothing
-quadratic is ever pickled), the ``_BLOCK_ROWS`` row blocks of the serial
-build are fanned out over a worker pool, and each worker writes its
-normalized block straight into the shared ``X`` buffer.  The result is
-bit-identical to the serial path for any worker count.
+quadratic is ever pickled), the row blocks of the serial build's
+:func:`~repro.core.backend.reduction_block_rows` grid are fanned out over
+a worker pool, and each worker writes its normalized block straight into
+the shared ``X`` buffer.  The result is bit-identical to the serial path
+for any worker count.
 
 :func:`parallel_assign` gives the SAMPLING assignment phase (§4.1) the
 same treatment: the per-block cheapest-cluster scoring against fixed
@@ -33,13 +34,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.backend import LazyLabelBackend
-from ..core.instance import (
-    _BLOCK_ROWS,
-    CorrelationInstance,
-    disagreement_block,
-    disagreement_fractions,
-)
+from ..core.agreement import EncodedLabels, pair_fractions
+from ..core.backend import LazyLabelBackend, reduction_block_rows
+from ..core.instance import CorrelationInstance, disagreement_fractions
 from ..core.labels import validate_label_matrix
 from ..core.objective import ClusterCountTables
 from ..obs.metrics import observe
@@ -164,6 +161,7 @@ def _init_build_worker(
     missing: str,
 ) -> None:
     _WORKER["matrix"] = SharedNDArray.attach(matrix_descriptor)
+    _WORKER["labels"] = EncodedLabels(_WORKER["matrix"].array)
     _WORKER["out"] = SharedNDArray.attach(out_descriptor)
     _WORKER["p"] = p
     _WORKER["missing"] = missing
@@ -178,11 +176,16 @@ def _build_block(bounds: tuple[int, int]) -> tuple[int, float]:
     metrics registry dies with the process).
     """
     start, stop = bounds
-    matrix = _WORKER["matrix"].array
     out = _WORKER["out"].array
     with span("build.block", start=start, stop=stop) as block_span:
-        out[start:stop] = disagreement_block(
-            matrix, start, stop, p=_WORKER["p"], dtype=out.dtype, missing=_WORKER["missing"]
+        pair_fractions(
+            _WORKER["labels"],
+            slice(start, stop),
+            slice(None),
+            p=_WORKER["p"],
+            missing=_WORKER["missing"],
+            dtype=out.dtype,
+            out=out[start:stop],
         )
     return start, block_span.seconds
 
@@ -193,19 +196,20 @@ def parallel_disagreement_fractions(
     dtype: np.dtype | type | None = None,
     missing: str = "coin-flip",
     n_jobs: int | None = None,
-    block_rows: int = _BLOCK_ROWS,
+    block_rows: int | None = None,
 ) -> np.ndarray:
     """The ``X`` matrix of a label matrix, built by a shared-memory pool.
 
     Semantics are identical to
     :func:`~repro.core.instance.disagreement_fractions` — same missing
     models, same dtype defaults — and the output is bit-identical to the
-    serial build for every ``n_jobs`` and ``block_rows`` tiling (each
-    element is accumulated in the same column order either way).
+    serial build for every ``n_jobs`` and ``block_rows`` tiling (every
+    entry comes from exact counts either way).
 
-    ``block_rows`` is the fan-out granularity; the default matches the
-    serial build's ``_BLOCK_ROWS`` and exists as a parameter so the
-    equivalence tests can force multi-block schedules on small inputs.
+    ``block_rows`` is the fan-out granularity; the default (``None``) is
+    the serial build's :func:`~repro.core.backend.reduction_block_rows`
+    grid, and the parameter lets the equivalence tests force multi-block
+    schedules on small inputs.
     Falls back to the serial code when one worker (or one block) would do
     all the work anyway.
     """
@@ -215,9 +219,11 @@ def parallel_disagreement_fractions(
         raise ValueError(f"missing must be 'coin-flip' or 'average', got {missing!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
+    n = matrix.shape[0]
+    if block_rows is None:
+        block_rows = reduction_block_rows(n)
     if block_rows < 1:
         raise ValueError(f"block_rows must be positive, got {block_rows}")
-    n = matrix.shape[0]
     if dtype is None:
         dtype = np.float64 if n <= 4096 else np.float32
     np_dtype = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
@@ -247,7 +253,6 @@ def parallel_disagreement_fractions(
         for seconds in block_seconds:
             observe("parallel.build.block_seconds", seconds)
         build_span.set(busy_seconds=sum(block_seconds))
-    np.fill_diagonal(X, 0.0)
     return X
 
 

@@ -53,6 +53,11 @@ _LINE_LIMIT = 16 * 1024
 #: Maximum number of request headers accepted.
 _MAX_HEADERS = 64
 
+#: How long :meth:`HTTPServer.stop` waits for connections answering their
+#: last request (a client that never reads its response would hold the
+#: write forever) before cancelling them.
+_STOP_GRACE_SECONDS = 10.0
+
 
 class HTTPError(Exception):
     """A structured service error: status code, message, optional retry hint.
@@ -198,6 +203,10 @@ class HTTPServer:
         self._max_body = int(max_body_bytes)
         self._server: asyncio.base_events.Server | None = None
         self._connections: "set[asyncio.Task[None]]" = set()
+        # Connections reading a request (or waiting for one), and the flag
+        # that stops every connection after its current request.
+        self._reading: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     async def start(self, host: str, port: int) -> None:
         """Bind and start accepting connections (port 0 picks a free port)."""
@@ -218,13 +227,20 @@ class HTTPServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Keep-alive connections idle in readline() would otherwise
-        # outlive the listener; responses already written have been
-        # drained, so cancelling here loses nothing.
-        for task in list(self._connections):
-            task.cancel()
+        # Keep-alive connections idle in readline() would otherwise outlive
+        # the listener.  Closing the transport of every connection that is
+        # reading ends that read with EOF, so its handler returns normally;
+        # cancelling the handler task instead makes asyncio's stream
+        # callback log a CancelledError traceback.  Connections answering a
+        # request finish it and then stop on the flag.
+        self._closing = True
+        for writer in list(self._reading):
+            writer.close()
         if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+            _, stuck = await asyncio.wait(set(self._connections), timeout=_STOP_GRACE_SECONDS)
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
         self._connections.clear()
 
     # -- connection handling -------------------------------------------
@@ -236,9 +252,9 @@ class HTTPServer:
         if task is not None:
             self._connections.add(task)
         try:
-            while True:
+            while not self._closing:
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
                 except HTTPError as error:
                     writer.write(error_response(error).encode())
                     await writer.drain()
@@ -261,8 +277,17 @@ class HTTPServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> Request | None:
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Request | None:
         """Parse one request off the stream; None on a clean EOF."""
+        self._reading.add(writer)
+        try:
+            return await self._parse_request(reader)
+        finally:
+            self._reading.discard(writer)
+
+    async def _parse_request(self, reader: asyncio.StreamReader) -> Request | None:
         try:
             line = await reader.readline()
         except ValueError as error:  # line longer than the stream limit

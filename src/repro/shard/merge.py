@@ -20,15 +20,11 @@ therefore minimizing the true objective over all consensus clusterings
 that respect the shard clusters.
 
 The atom distances are built without ever materializing the ``(n, n)``
-matrix: per label column the weighted per-atom label histogram ``C``
-gives the separated mass in ``O(K^2)`` —
-
-    sep_j(A, B) = (conc_A conc_B - (C C^T)[A, B])
-                  + (1 - p) (W_A W_B - conc_A conc_B)
-
-where ``conc_A`` is atom ``A``'s concrete (non-missing) weight in column
-``j`` and the ``(1 - p)`` term is the §2 coin-flip expectation for pairs
-with a missing endpoint.  Total work is ``O(m (n + K^2))``.
+matrix: the weighted agreement counts of :mod:`repro.core.agreement`,
+with both sides grouped by atom, give every atom pair's summed ``agree``
+and ``both`` from the per-atom label histograms, and the shared
+coin-flip normalization turns them into ``X_atoms``.  Total work is
+``O(n m + K^2 sum(arity))``.
 
 The atom instance is then re-aggregated exactly (branch-and-bound, when
 the atom count permits) or with agglomerative-seeded LOCALSEARCH.
@@ -43,9 +39,11 @@ import numpy as np
 from ..algorithms.agglomerative import agglomerative
 from ..algorithms.exact import _MAX_EXACT_N, exact_optimum
 from ..algorithms.local_search import local_search
+from ..core.agreement import agreement_counts, separation_fractions
 from ..core.instance import CorrelationInstance
-from ..core.labels import MISSING, validate_label_matrix
+from ..core.labels import validate_label_matrix
 from ..core.partition import Clustering
+from ..obs.trace import span
 
 __all__ = [
     "DEFAULT_MAX_EXACT_ATOMS",
@@ -126,34 +124,24 @@ def atom_distances(
     if not np.all(atom_w > 0.0):
         raise ValueError("atom ids must be contiguous 0..K-1 with every atom non-empty")
 
-    total_mass = np.outer(atom_w, atom_w)
-    separated = np.zeros((n_atoms, n_atoms), dtype=np.float64)
-    one_minus_p = 1.0 - p
-    for j in range(m):
-        column = matrix[:, j]
-        concrete = np.flatnonzero(column != MISSING)
-        if concrete.size == 0:
-            separated += one_minus_p * total_mass
-            continue
-        # Weighted per-atom histogram over the column's compacted labels.
-        uniq, inverse = np.unique(column[concrete], return_inverse=True)
-        inverse = inverse.reshape(-1)  # numpy 2.0.x returns (c, 1)
-        counts = np.bincount(
-            atom_of[concrete] * uniq.size + inverse,
-            weights=w[concrete],
-            minlength=n_atoms * uniq.size,
-        ).reshape(n_atoms, uniq.size)
-        concrete_w = counts.sum(axis=1)
-        concrete_mass = np.outer(concrete_w, concrete_w)
-        agree = counts @ counts.T
-        separated += (concrete_mass - agree) + one_minus_p * (total_mass - concrete_mass)
-    distances = separated / (m * total_mass)
-    # The column kernels are symmetric in exact arithmetic; BLAS products
-    # are not bitwise so, and the intra-atom diagonal is by definition not
-    # a pair distance — force both before the contracts see the matrix.
-    distances = 0.5 * (distances + distances.T)
-    np.clip(distances, 0.0, 1.0, out=distances)
-    np.fill_diagonal(distances, 0.0)
+    with span("shard.atom_distances", n=n, atoms=n_atoms):
+        agree, both = agreement_counts(
+            matrix,
+            row_groups=atom_of,
+            row_weights=w,
+            col_groups=atom_of,
+            col_weights=w,
+            dtype=np.float64,
+        )
+        distances = separation_fractions(
+            np.subtract(both, agree, out=agree), both, m * np.outer(atom_w, atom_w), p=p
+        )
+        # The counts are symmetric exactly for integer weights only, and the
+        # intra-atom diagonal is by definition not a pair distance — force
+        # both before the contracts see the matrix.
+        distances = 0.5 * (distances + distances.T)
+        np.clip(distances, 0.0, 1.0, out=distances)
+        np.fill_diagonal(distances, 0.0)
     return distances, atom_w
 
 

@@ -7,8 +7,9 @@ subsystem maintains the consensus *online*:
 * :class:`IncrementalCorrelationInstance` — running separation counts
   updated in one O(n²) vectorized pass per arriving clustering, with
   optional exponential decay for drifting streams; shares the
-  :func:`~repro.core.instance.pair_separation_block` kernel with the
-  batch build, so (at ``decay=1``) the two are bit-identical.
+  :func:`~repro.core.agreement.agreement_counts` kernel and its
+  normalization with the batch build, so (at ``decay=1``) the two are
+  bit-identical.
 * :class:`StreamingAggregator` — ``engine.observe(labels)`` folds a
   clustering in and re-optimizes by warm-starting LOCALSEARCH from the
   previous consensus (SAMPLING fallback past a size threshold), with a

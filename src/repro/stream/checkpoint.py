@@ -8,9 +8,12 @@ fits naturally in a single ``.npz`` archive:
 ======================  =====================================================
 key                     contents
 ======================  =====================================================
-``separation``          ``(n, n)`` decayed separation-count accumulator
-``comparable``          ``(n, n)`` comparable-pair counts (``missing="average"``
-                        only; absent otherwise)
+``separation``          ``(n, n)`` decayed count of the columns concretely
+                        separating each pair (``both - agree``)
+``comparable``          ``(n, n)`` decayed count of the columns concrete on
+                        both sides (``both``); absent until a column with a
+                        missing entry has been observed, under either
+                        missing-value model
 ``consensus``           consensus label vector (absent before the first update)
 ``weight``, ``count``   decayed total weight and raw observation count
 ``meta``                JSON blob: instance config (``n``, ``p``, ``missing``,
@@ -19,6 +22,9 @@ key                     contents
                         ``max_sweeps``, ``resync_every``), RNG
                         bit-generator state, and a format version
 ======================  =====================================================
+
+Version 2 stores the counts above; version 1 archives held the coin-flip
+separation *terms* (with ``1 - p`` folded in) and are rejected.
 
 :func:`save_checkpoint` / :func:`load_checkpoint` round-trip an engine
 exactly: the restored engine produces bit-identical updates for the same
@@ -41,7 +47,7 @@ from .engine import StreamingAggregator
 __all__ = ["save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION"]
 
 #: Bump when the archive layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(engine: StreamingAggregator, path: str | Path) -> Path:

@@ -4,12 +4,14 @@ The batch :class:`~repro.core.instance.CorrelationInstance` is built from a
 complete ``(n, m)`` label matrix in one pass.  In a streaming setting the
 input clusterings arrive one at a time and the ``X`` matrix must follow
 along without replaying history: :class:`IncrementalCorrelationInstance`
-keeps the *running separation counts* — the un-normalized sum of per-pair
-separation terms — and folds each arriving clustering in with one blocked
-O(n²) vectorized update, using the exact same
-:func:`~repro.core.instance.pair_separation_block` kernel as the batch
-build.  After ``k`` calls to :meth:`observe` (with no decay) the matrix is
-bitwise-reproducible against a batch build from the same ``k`` columns.
+keeps the *running counts* of :mod:`repro.core.agreement` — per pair, the
+number of columns that concretely separate it (``both - agree``) and, once
+some column has a missing entry, the number of columns concrete on both
+sides (``both``) — and folds each arriving clustering in with one blocked
+O(n²) update from the same agreement-count kernel as the batch build.  The
+distances come out of the shared normalization, so after ``k`` calls to
+:meth:`observe` (with no decay) the matrix is bitwise-reproducible against
+a batch build from the same ``k`` columns, at any ``p``.
 
 Drifting streams are handled by *exponential decay*: with
 ``decay = γ < 1``, observing a clustering first scales every accumulator by
@@ -17,6 +19,9 @@ Drifting streams are handled by *exponential decay*: with
 is ``γ^a`` and
 
     X = Σ_a γ^a · sep_a  /  Σ_a γ^a
+
+with ``sep_a`` the coin-flip separation of the clustering observed ``a``
+updates ago
 
 — a recency-weighted disagreement fraction that still lies in ``[0, 1]``
 and still feeds every downstream algorithm unchanged.
@@ -29,7 +34,9 @@ from typing import Any
 import numpy as np
 
 from ..analysis.contracts import check_distance_matrix, contracts_enabled
-from ..core.instance import _BLOCK_ROWS, CorrelationInstance, pair_separation_block
+from ..core.agreement import EncodedLabels, agreement_counts, separation_fractions
+from ..core.backend import reduction_block_rows
+from ..core.instance import CorrelationInstance
 from ..core.labels import MISSING
 
 __all__ = ["IncrementalCorrelationInstance"]
@@ -65,13 +72,12 @@ class IncrementalCorrelationInstance:
         dtype: np.dtype | type | None = None,
     ) -> None:
         self._configure(n, p, missing, decay, dtype)
-        # Running sum of per-pair separation terms (decayed).
+        # Decayed count of the columns concretely separating each pair.
         self._separation = np.zeros((n, n), dtype=self._dtype)
-        # For "average": decayed count of commonly-concrete pairs; for
-        # "coin-flip" the per-pair denominator is the scalar weight below.
-        self._comparable = (
-            np.zeros((n, n), dtype=self._dtype) if missing == "average" else None
-        )
+        # Decayed count of the columns concrete on both sides of each pair;
+        # None until a column with a missing entry arrives, since before
+        # that it equals the scalar weight below for every pair.
+        self._comparable: np.ndarray | None = None
         self._weight = 0.0  # Σ decay^age, == count when decay == 1
         self._count = 0  # raw number of observed clusterings
 
@@ -162,18 +168,28 @@ class IncrementalCorrelationInstance:
             raise ValueError("labels must be >= -1 (-1 denotes a missing entry)")
         if np.all(column == MISSING):
             raise ValueError("clustering is entirely missing and carries no information")
+        kind = self._dtype.type
         if self._decay != 1.0:
-            self._separation *= self._dtype.type(self._decay)
+            self._separation *= kind(self._decay)
             if self._comparable is not None:
-                self._comparable *= self._dtype.type(self._decay)
-        for start in range(0, self._n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, self._n)
-            separation, both_present = pair_separation_block(
-                column, start, stop, p=self._p, dtype=self._dtype, missing=self._missing
+                self._comparable *= kind(self._decay)
+        encoded = EncodedLabels(column[:, None])
+        if encoded.has_missing and self._comparable is None:
+            # Every earlier column was complete: each pair was comparable
+            # in all of them, i.e. for the whole decayed weight.
+            self._comparable = np.full(
+                (self._n, self._n), kind(self._decay * self._weight), dtype=self._dtype
             )
-            self._separation[start:stop] += separation
-            if both_present is not None and self._comparable is not None:
-                self._comparable[start:stop] += both_present
+        step = reduction_block_rows(self._n)
+        scratch = np.empty((min(step, self._n), self._n), dtype=self._dtype)
+        for start in range(0, self._n, step):
+            rows = slice(start, min(start + step, self._n))
+            agree, both = agreement_counts(
+                encoded, rows, dtype=self._dtype, out=scratch[: rows.stop - start]
+            )
+            self._separation[rows] += np.subtract(both, agree, out=agree)
+            if self._comparable is not None:
+                self._comparable[rows] += both
         self._weight = self._decay * self._weight + 1.0
         self._count += 1
 
@@ -195,12 +211,10 @@ class IncrementalCorrelationInstance:
             out = np.empty((self._n, self._n), dtype=self._dtype)
         elif out.shape != (self._n, self._n):
             raise ValueError(f"out must have shape ({self._n}, {self._n}), got {out.shape}")
-        if self._comparable is None:
-            np.divide(self._separation, self._dtype.type(self._weight), out=out)
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                np.divide(self._separation, self._comparable, out=out)
-            out[self._comparable == 0] = self._dtype.type(0.5)
+        both = self._weight if self._comparable is None else self._comparable
+        separation_fractions(
+            self._separation, both, self._weight, p=self._p, missing=self._missing, out=out
+        )
         np.fill_diagonal(out, 0.0)
         if contracts_enabled():
             check_distance_matrix(out, context="IncrementalCorrelationInstance.distances")
@@ -255,12 +269,13 @@ class IncrementalCorrelationInstance:
         if separation.shape != (inst._n, inst._n):
             raise ValueError("checkpointed separation counts do not match n")
         inst._separation = separation.copy()
+        comparable = state.get("comparable")
         inst._comparable = None
-        if config["missing"] == "average":
-            comparable = state["comparable"]
-            if comparable is None:
-                raise ValueError("'average' state needs comparable counts")
-            inst._comparable = np.asarray(comparable, dtype=inst._dtype).copy()
+        if comparable is not None:
+            comparable = np.asarray(comparable, dtype=inst._dtype)
+            if comparable.shape != (inst._n, inst._n):
+                raise ValueError("checkpointed comparable counts do not match n")
+            inst._comparable = comparable.copy()
         inst._weight = float(state["weight"])
         inst._count = int(state["count"])
         return inst

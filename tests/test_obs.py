@@ -372,6 +372,30 @@ def test_aggregate_produces_the_documented_span_tree() -> None:
     assert trace.find("localsearch.refine")
 
 
+def test_pricing_and_atom_distances_have_their_own_spans() -> None:
+    rng = np.random.default_rng(17)
+    matrix = rng.integers(0, 3, size=(200, 4))
+    from repro.core.aggregate import aggregate
+
+    with tracing() as trace:
+        with span("caller"):
+            aggregate(matrix, method="local-search")
+        aggregate(matrix, method="sharded", n_shards=2, rng=0)
+    caller = trace.roots[0]
+    # Pricing (cost + lower bound) is the third top-level phase of a call.
+    assert [node.name for node in caller.children] == [
+        "aggregate.build",
+        "aggregate.solve",
+        "aggregate.price",
+    ]
+    (merge,) = trace.find("shard.merge")
+    (atom_distances,) = trace.find("shard.atom_distances")
+    assert any(child is atom_distances for child in merge.children)
+    (sharded_solve,) = [node for node in trace.roots if node.name == "aggregate.solve"]
+    assert [node.name for node in trace.roots[-2:]] == ["aggregate.solve", "aggregate.price"]
+    assert sharded_solve.seconds >= merge.seconds >= atom_distances.seconds
+
+
 def test_portfolio_member_spans_sum_close_to_root() -> None:
     rng = np.random.default_rng(11)
     matrix = rng.integers(0, 5, size=(120, 6))

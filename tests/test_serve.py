@@ -14,6 +14,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -644,28 +645,23 @@ class TestLifecycle:
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-@pytest.mark.no_contracts
-def test_sigterm_drains_and_checkpoints(tmp_path):
-    """``repro serve`` under SIGTERM: clean exit, checkpoint on disk."""
+def _serve_process(*args: str) -> subprocess.Popen:
+    """``python -m repro serve --port 0 --json`` plus ``args``, as a subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            "0",
-            "--checkpoint-dir",
-            str(tmp_path),
-            "--json",
-        ],
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--json", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
+
+
+@pytest.mark.no_contracts
+def test_sigterm_drains_and_checkpoints(tmp_path):
+    """``repro serve`` under SIGTERM: clean exit, checkpoint on disk."""
+    proc = _serve_process("--checkpoint-dir", str(tmp_path))
     try:
         banner = json.loads(proc.stdout.readline())
         assert banner["event"] == "serve.start"
@@ -698,3 +694,35 @@ def test_sigterm_drains_and_checkpoints(tmp_path):
     assert stop["sessions"] == 1
     assert (tmp_path / "sig.npz").exists()
     assert load_checkpoint(tmp_path / "sig.npz", n=4).count == 1
+
+
+@pytest.mark.no_contracts
+def test_sigterm_with_idle_keep_alive_connection_exits_cleanly():
+    """Open connections at SIGTERM (one idle, one mid-request): exit 0, no traceback."""
+    proc = _serve_process()
+    conn = None
+    partial = None
+    try:
+        port = json.loads(proc.stdout.readline())["port"]
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+        # A second client stops halfway through its request headers.
+        partial = socket.create_connection(("127.0.0.1", port), timeout=10)
+        partial.sendall(b"GET /healthz HTTP/1.1\r\nHost: x")
+        # Both connections stay open while the server stops.
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        for open_connection in (conn, partial):
+            if open_connection is not None:
+                open_connection.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err, err
+    assert json.loads(out.strip().splitlines()[-1])["event"] == "serve.stop"

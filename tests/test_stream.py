@@ -258,15 +258,19 @@ class TestCheckpoint:
         import json
 
         engine = StreamingAggregator(5)
+        engine.observe(np.array([0, 0, 1, 1, -1]))
         path = save_checkpoint(engine, tmp_path / "ck.npz")
         with np.load(path, allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["version"] = 999
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
+        # Version 1 archives held coin-flip separation terms, not counts;
+        # reading them as counts would silently shift every distance.
+        for version in (1, 999):
+            meta["version"] = version
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            np.savez_compressed(path, **arrays)
+            with pytest.raises(ValueError, match="unsupported checkpoint version"):
+                load_checkpoint(path)
 
 
 class TestEffectiveWeight:
